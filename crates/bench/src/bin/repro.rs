@@ -34,7 +34,9 @@
 //! component-wise account of the measured-vs-paper headline speedup gap,
 //! and archives `BENCH_explain.json`. `--profile` turns on the pim-obs
 //! self-profiler (a no-op branch when off — asserted <5% overhead by the
-//! `profiler_overhead` bench) and prints the phase table to stderr.
+//! `profiler_overhead` bench) and prints the phase table to stderr (with
+//! `experiment/<id>` and `runs/compute/<key>` scopes), then the run
+//! store's `runs: computed=N reused=M` counts.
 //! `--perf-gate` medians the recent `BENCH_history.jsonl` runs (appended
 //! by every `--json` sweep) against the committed `BENCH_baseline.json`
 //! budgets: machine-speed-corrected, warn >10%, fail >25%, noise floor
@@ -326,9 +328,12 @@ fn main() -> ExitCode {
     // phase table to stderr after the command finishes.
     let profiler =
         if cli.profile { pim_obs::Profiler::new() } else { pim_obs::Profiler::disabled() };
+    let store = pim_bench::runs::global();
+    store.set_profiler(&profiler);
     let code = dispatch(&cli, &profiler);
     if cli.profile {
         eprint!("{}", profiler.render_table());
+        eprintln!("{}", store.stats());
     }
     code
 }
@@ -527,7 +532,7 @@ fn all_experiments(cli: &Cli, profiler: &pim_obs::Profiler) -> ExitCode {
     }
     let report = {
         let _scope = profiler.scope("repro/all/sweep");
-        match harness.run(pim_bench::jobs::experiment_jobs()) {
+        match harness.run(pim_bench::jobs::experiment_jobs(profiler)) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("harness error: {e}");

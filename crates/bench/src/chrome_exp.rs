@@ -1,13 +1,10 @@
 //! Chrome experiments: Figures 1, 2, 4 and 18.
 
-use pim_chrome::lzo::{CompressionKernel, DecompressionKernel};
 use pim_chrome::page::PageModel;
 use pim_chrome::scroll::run_scroll;
 use pim_chrome::tabs::{run_tab_switching, TabSwitchConfig};
-use pim_chrome::tiling::TextureTilingKernel;
-use pim_chrome::ColorBlittingKernel;
 use pim_core::report::{energy_table, fraction_table, mode_sweep_table};
-use pim_core::{DmpimError, Kernel, OffloadEngine, Platform, SimContext};
+use pim_core::{DmpimError, Platform, SimContext};
 
 /// Figure 1: energy breakdown of page scrolling across six pages.
 pub fn fig1() -> String {
@@ -71,19 +68,13 @@ pub fn fig4() -> Result<String, DmpimError> {
 }
 
 /// Figure 18: the four browser kernels under CPU-Only / PIM-Core / PIM-Acc.
-pub fn fig18() -> String {
-    let engine = OffloadEngine::new();
+pub fn fig18() -> Result<String, DmpimError> {
+    let store = crate::runs::global();
     let mut out = String::from("Figure 18 — browser kernels: energy & runtime by mode\n");
-    let mut kernels: Vec<(&str, Box<dyn Kernel>)> = vec![
-        ("texture tiling", Box::new(TextureTilingKernel::paper_input())),
-        ("color blitting", Box::new(ColorBlittingKernel::paper_input())),
-        ("compression", Box::new(CompressionKernel::paper_input())),
-        ("decompression", Box::new(DecompressionKernel::paper_input())),
-    ];
     let mut core_ratios = Vec::new();
     let mut acc_ratios = Vec::new();
-    for (name, kernel) in kernels.iter_mut() {
-        let reports = engine.run_all(kernel.as_mut());
+    for name in ["texture tiling", "color blitting", "compression", "decompression"] {
+        let reports = &store.kernel_runs(name, false)?[..3];
         out.push_str(&format!("\n[{name}]\n"));
         out.push_str(&energy_table(
             &reports
@@ -91,7 +82,7 @@ pub fn fig18() -> String {
                 .map(|r| (r.mode.label().to_string(), r.energy))
                 .collect::<Vec<_>>(),
         ));
-        out.push_str(&mode_sweep_table(&reports));
+        out.push_str(&mode_sweep_table(reports));
         core_ratios.push(reports[1].energy_vs(&reports[0]));
         acc_ratios.push(reports[2].energy_vs(&reports[0]));
     }
@@ -101,7 +92,7 @@ pub fn fig18() -> String {
         100.0 * (1.0 - avg(&core_ratios)),
         100.0 * (1.0 - avg(&acc_ratios)),
     ));
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The attribution sweep behind `repro --explain`.
 //!
-//! Re-runs the nine-kernel catalog across the three study modes and
-//! converts each run's [`pim_core::CostBreakdown`] and
+//! Reads the nine-kernel catalog's study-mode runs from the run store
+//! (`crate::runs`) and converts each run's [`pim_core::CostBreakdown`] and
 //! [`pim_core::EnergyBreakdown`] into [`pim_obs::ExplainRecord`]s — one
 //! per experiment × platform. The sweep rides the same supervised
 //! harness as the scorecard, with record lines as the job payloads, so
@@ -14,15 +14,15 @@
 //! speedup — this reproduction's 2.94× vs the paper's 1.54× — to
 //! specific cost components (see `BENCH_explain.json`'s `headline_gap`).
 
-use pim_core::{
-    Component, DmpimError, ExecutionMode, OffloadEngine, RunReport, Tracer,
-    Watchdog,
-};
+use std::sync::Arc;
+
+use pim_core::{Component, DmpimError, ExecutionMode, RunReport};
 use pim_harness::{Harness, HarnessError, HarnessPolicy, SweepReport};
 use pim_obs::{attribute_gap, ExplainRecord, GapAttribution, Profiler};
 use pim_trace::JsonValue;
 
-use crate::jobs::{kernel_catalog, KernelFactory};
+use crate::jobs::kernel_catalog;
+use crate::runs::RunStore;
 
 /// Lowercase platform slug used in record lines and JSON.
 pub fn mode_slug(mode: ExecutionMode) -> &'static str {
@@ -74,24 +74,19 @@ pub fn record_from_report(kernel: &str, report: &RunReport) -> ExplainRecord {
 /// payload (record lines never contain it).
 const RECORD_SEP: char = ';';
 
-/// Measure one kernel's attribution across the three study modes,
-/// encoded as a single `;`-joined payload line.
+/// One kernel's attribution across the three study modes, read from
+/// `store`, encoded as a single `;`-joined payload line.
 fn measure_explain(
+    store: &RunStore,
     name: &'static str,
-    factory: KernelFactory,
-    tracer: &Tracer,
-    watchdog: Watchdog,
+    smoke: bool,
+    ctx: &pim_harness::JobCtx,
     profiler: &Profiler,
 ) -> Result<String, DmpimError> {
-    let engine = OffloadEngine::new().with_tracer(tracer).with_watchdog(watchdog);
-    let mut kernel = factory();
-    let mut lines = Vec::with_capacity(3);
-    for mode in ExecutionMode::ALL {
-        let _scope = profiler.scope(&format!("explain/{name}/{}", mode_slug(mode)));
-        let report = engine.try_run(kernel.as_mut(), mode)?;
-        lines.push(record_from_report(name, &report).to_line());
-    }
-    Ok(lines.iter().map(String::as_str).collect::<Vec<_>>().join(&RECORD_SEP.to_string()))
+    let _scope = profiler.scope(&format!("explain/{name}"));
+    let reports = store.study_runs_with(name, smoke, &ctx.tracer, ctx.watchdog)?;
+    let lines: Vec<_> = reports.iter().map(|r| record_from_report(name, r).to_line()).collect();
+    Ok(lines.join(&RECORD_SEP.to_string()))
 }
 
 /// Outcome of [`explain_sweep`]: records in catalog × mode order plus
@@ -104,12 +99,22 @@ pub fn explain_sweep(
     policy: HarnessPolicy,
     profiler: &Profiler,
 ) -> Result<ExplainOutcome, HarnessError> {
+    explain_sweep_in(&crate::runs::global(), smoke, policy, profiler)
+}
+
+/// [`explain_sweep`] over `store` instead of the process-wide one.
+pub(crate) fn explain_sweep_in(
+    store: &Arc<RunStore>,
+    smoke: bool,
+    policy: HarnessPolicy,
+    profiler: &Profiler,
+) -> Result<ExplainOutcome, HarnessError> {
     let jobs = kernel_catalog(smoke)
         .into_iter()
-        .map(|(name, _kind, factory)| {
-            let profiler = profiler.clone();
+        .map(|(name, _kind, _factory)| {
+            let (store, profiler) = (Arc::clone(store), profiler.clone());
             pim_harness::Job::new(format!("explain:{name}"), move |ctx: &pim_harness::JobCtx| {
-                measure_explain(name, factory, &ctx.tracer, ctx.watchdog, &profiler)
+                measure_explain(&store, name, smoke, ctx, &profiler)
             })
         })
         .collect();
@@ -314,20 +319,13 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial() {
-        let serial = explain_sweep(
-            true,
-            HarnessPolicy { workers: 1, ..Default::default() },
-            &Profiler::disabled(),
-        )
-        .unwrap()
-        .0;
-        let parallel = explain_sweep(
-            true,
-            HarnessPolicy { workers: 4, ..Default::default() },
-            &Profiler::disabled(),
-        )
-        .unwrap()
-        .0;
+        // Each side fills its own store, so both really simulate.
+        let sweep = |workers| {
+            let store = Arc::new(RunStore::new());
+            let policy = HarnessPolicy { workers, ..Default::default() };
+            explain_sweep_in(&store, true, policy, &Profiler::disabled()).unwrap().0
+        };
+        let (serial, parallel) = (sweep(1), sweep(4));
         let a: Vec<String> = serial.iter().map(ExplainRecord::to_line).collect();
         let b: Vec<String> = parallel.iter().map(ExplainRecord::to_line).collect();
         assert_eq!(a, b, "attribution must not depend on worker count");

@@ -18,8 +18,10 @@ use pim_core::{
     SimContext, Tracer, Watchdog,
 };
 use pim_harness::{Harness, HarnessError, HarnessPolicy, Job, SweepReport};
+use pim_obs::Profiler;
 use pim_vp9::driver::{MotionEstimationKernel, SubPixelInterpolationKernel};
 
+use crate::runs::RunStore;
 use crate::scorecard::{
     entries_from_metrics, metrics_from_shards, KernelMetrics, ModeShard, ScorecardEntry,
 };
@@ -278,17 +280,16 @@ pub fn metrics_jobs(smoke: bool) -> Vec<Job> {
     metrics_jobs_timed(smoke, None)
 }
 
-/// Compute the scorecard measurements in-process (no journal, current
-/// thread). Round-trips every measurement through its journal line so
-/// the values are bit-identical to a harness/resume run.
-pub(crate) fn collect_metrics(smoke: bool) -> Vec<KernelMetrics> {
-    let tracer = Tracer::default();
+/// The scorecard measurements as a view over `store`'s study-mode runs
+/// (bit-identical to a harness/resume run: journal lines round-trip
+/// every `f64` exactly).
+pub(crate) fn collect_metrics(store: &RunStore, smoke: bool) -> Vec<KernelMetrics> {
     kernel_catalog(smoke)
         .into_iter()
-        .filter_map(|(name, kind, factory)| {
-            measure(name, kind, factory, &tracer, Watchdog::unlimited()).ok()
+        .filter_map(|(name, kind, _)| {
+            let r = store.kernel_runs(name, smoke).ok()?;
+            Some(KernelMetrics::from_reports(name, kind, &r[0], &r[1], &r[2]))
         })
-        .filter_map(|line| KernelMetrics::parse(&line))
         .collect()
 }
 
@@ -321,11 +322,18 @@ pub fn scorecard_sweep(
 }
 
 /// One job per experiment id, for the default `repro` run. Each job's
-/// payload is the experiment's full text report.
-pub fn experiment_jobs() -> Vec<Job> {
+/// payload is the experiment's full text report, and its wall time lands
+/// in `profiler` under `experiment/<id>`.
+pub fn experiment_jobs(profiler: &Profiler) -> Vec<Job> {
     crate::EXPERIMENTS
         .iter()
-        .map(|&id| Job::new(id, move |_ctx| crate::run_experiment(id)))
+        .map(|&id| {
+            let profiler = profiler.clone();
+            Job::new(id, move |_ctx| {
+                let _scope = profiler.scope(&format!("experiment/{id}"));
+                crate::run_experiment(id)
+            })
+        })
         .collect()
 }
 

@@ -3,7 +3,8 @@
 //! One function per table/figure of the paper's evaluation; the `repro`
 //! binary prints them (`cargo run -p pim-bench --release --bin repro`).
 //! Experiment identifiers match the index in `DESIGN.md`; measured-vs-paper
-//! values are recorded in `EXPERIMENTS.md`.
+//! values are recorded in `EXPERIMENTS.md`. Shared workload runs come
+//! from the process-wide [`runs`] store, simulated once per process.
 
 use pim_core::DmpimError;
 
@@ -14,6 +15,7 @@ pub mod fleet_cli;
 pub mod jobs;
 pub mod obs;
 pub mod perf_gate;
+pub mod runs;
 pub mod scorecard;
 pub mod serve_cli;
 pub mod summary_exp;
@@ -48,12 +50,12 @@ pub fn run_experiment(id: &str) -> Result<String, DmpimError> {
         "fig12" => video_exp::fig12(),
         "fig15" => video_exp::fig15()?,
         "fig16" => video_exp::fig16(),
-        "fig18" => chrome_exp::fig18(),
+        "fig18" => chrome_exp::fig18()?,
         "fig19" => tf_exp::fig19(),
-        "fig20" => video_exp::fig20(),
+        "fig20" => video_exp::fig20()?,
         "fig21" => video_exp::fig21(),
-        "headline" => summary_exp::headline(),
-        "area" => summary_exp::area(),
+        "headline" => summary_exp::headline()?,
+        "area" => summary_exp::area()?,
         "ablate-pimcluster" => ablate_exp::pim_cluster(),
         "ablate-simd" => ablate_exp::simd_width(),
         "ablate-scheduler" => ablate_exp::scheduler(),

@@ -279,10 +279,11 @@ pub fn entries_from_metrics(metrics: &[KernelMetrics]) -> Vec<ScorecardEntry> {
     out
 }
 
-/// Compute the scorecard. `smoke` swaps the full nine-kernel paper-scale
-/// sweep for two small kernels (tests); the CLI always runs full scale.
+/// Compute the scorecard from the process-wide run store. `smoke` swaps
+/// the full nine-kernel paper-scale sweep for two small kernels (tests);
+/// the CLI always runs full scale.
 pub fn scorecard(smoke: bool) -> Vec<ScorecardEntry> {
-    entries_from_metrics(&crate::jobs::collect_metrics(smoke))
+    entries_from_metrics(&crate::jobs::collect_metrics(&crate::runs::global(), smoke))
 }
 
 /// Known divergences the CI gate accepts, as `(id, quantity)` pairs.

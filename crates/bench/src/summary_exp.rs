@@ -1,10 +1,15 @@
 //! Cross-workload summaries: Table 1, the headline averages, and the
 //! §3.2/§3.3 identification + area feasibility report.
 
+use std::sync::Arc;
+
 use pim_core::area::{AreaModel, PimTargetKind, PIM_CORE_MM2};
 use pim_core::identify::{evaluate, CandidateProfile};
 use pim_core::report::mean;
-use pim_core::{Kernel, OffloadEngine, Platform, RunReport};
+use pim_core::{DmpimError, Platform};
+
+use crate::jobs::kernel_catalog;
+use crate::runs::{self, KernelRuns, RunStore};
 
 /// Table 1: the evaluated system configuration.
 pub fn table1() -> String {
@@ -15,34 +20,21 @@ pub fn table1() -> String {
     )
 }
 
-/// Every PIM-target kernel with its workload, for aggregate sweeps.
-/// The catalog itself lives in [`crate::jobs`] so the harness-driven
-/// scorecard sweep and these serial summaries measure identical inputs.
-pub(crate) fn all_kernels() -> Vec<(&'static str, PimTargetKind, Box<dyn Kernel>)> {
-    crate::jobs::kernel_catalog(false)
-        .into_iter()
-        .map(|(name, kind, factory)| (name, kind, factory()))
-        .collect()
-}
+/// One catalog kernel's name, paper target and stored runs.
+pub(crate) type KernelSweep = (&'static str, PimTargetKind, Arc<KernelRuns>);
 
-pub(crate) fn sweep() -> Vec<(&'static str, PimTargetKind, Vec<RunReport>)> {
-    let engine = OffloadEngine::new();
-    // The fourth report per kernel is PIM-Core as a 4-core per-vault
-    // cluster (Table 1 provides 16; 4 is a conservative mid-point).
-    let cluster = OffloadEngine::new().with_pim_cluster(4);
-    all_kernels()
+/// Every catalog kernel's [`KernelRuns`] from `store`: CPU-Only,
+/// PIM-Core, PIM-Acc, then PIM-Core as a 4-core per-vault cluster.
+pub(crate) fn sweep(store: &RunStore, smoke: bool) -> Result<Vec<KernelSweep>, DmpimError> {
+    kernel_catalog(smoke)
         .into_iter()
-        .map(|(name, kind, mut k)| {
-            let mut reports = engine.run_all(k.as_mut());
-            reports.push(cluster.run(k.as_mut(), pim_core::ExecutionMode::PimCore));
-            (name, kind, reports)
-        })
+        .map(|(name, kind, _)| Ok((name, kind, store.kernel_runs(name, smoke)?)))
         .collect()
 }
 
 /// The paper's §1/§12 headline numbers across every PIM target.
-pub fn headline() -> String {
-    let results = sweep();
+pub fn headline() -> Result<String, DmpimError> {
+    let results = sweep(&runs::global(), false)?;
     let mut core_energy = Vec::new();
     let mut acc_energy = Vec::new();
     let mut core_speed = Vec::new();
@@ -85,14 +77,14 @@ pub fn headline() -> String {
         100.0 * (1.0 - mean(&acc_energy)),
         mean(&acc_speed),
     ));
-    out
+    Ok(out)
 }
 
 /// The §3.2 identification pipeline + §3.3 area feasibility for every
 /// target, with profiles measured from the kernel sweeps.
-pub fn area() -> String {
+pub fn area() -> Result<String, DmpimError> {
     let area = AreaModel::default();
-    let results = sweep();
+    let results = sweep(&runs::global(), false)?;
     let mut out = String::from("PIM-target identification (§3.2) and area feasibility (§3.3)\n\n");
     out.push_str(&format!(
         "PIM core: {:.2} mm² = {:.1}% of the per-vault budget (paper: <=9.4%)\n\n",
@@ -128,12 +120,13 @@ pub fn area() -> String {
          working set partially fits the LLC); the paper's own counters\n\
          classify it as memory-intensive. See EXPERIMENTS.md.\n",
     );
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use pim_chrome::tiling::TextureTilingKernel;
+    use pim_core::OffloadEngine;
 
     use super::*;
 
@@ -142,11 +135,6 @@ mod tests {
         let t = table1();
         assert!(t.contains("LPDDR3"));
         assert!(t.contains("16 vaults"));
-    }
-
-    #[test]
-    fn kernel_catalog_covers_all_targets() {
-        assert_eq!(all_kernels().len(), 9);
     }
 
     #[test]

@@ -6,7 +6,8 @@ use pim_tfmobile::inference::run_inference;
 use pim_tfmobile::network::{Network, NetworkKind};
 use pim_tfmobile::pipeline::{paper_shape, run_pipeline};
 
-fn breakdowns() -> Vec<pim_tfmobile::inference::InferenceBreakdown> {
+/// Every network's CPU-only inference (computed by the run store).
+pub(crate) fn breakdowns() -> Vec<pim_tfmobile::inference::InferenceBreakdown> {
     NetworkKind::ALL
         .iter()
         .map(|&kind| {
@@ -19,7 +20,7 @@ fn breakdowns() -> Vec<pim_tfmobile::inference::InferenceBreakdown> {
 
 /// Figure 6: per-network inference energy breakdown.
 pub fn fig6() -> String {
-    let bs = breakdowns();
+    let bs = crate::runs::global().tf_inference();
     let rows: Vec<_> = bs
         .iter()
         .map(|b| (b.network.to_string(), b.energy_fractions.clone()))
@@ -45,7 +46,7 @@ pub fn fig6() -> String {
 
 /// Figure 7: per-network execution-time breakdown.
 pub fn fig7() -> String {
-    let bs = breakdowns();
+    let bs = crate::runs::global().tf_inference();
     let rows: Vec<_> = bs
         .iter()
         .map(|b| (b.network.to_string(), b.time_fractions.clone()))

@@ -1,11 +1,8 @@
 //! Video experiments: Figures 10, 11, 12, 15, 16, 20 and 21.
 
 use pim_core::report::{energy_table, fraction_table, mode_sweep_table};
-use pim_core::{DmpimError, EnergyParams, Kernel, OffloadEngine, Platform, SimContext};
-use pim_vp9::driver::{
-    run_sw_decode, run_sw_encode, DeblockingFilterKernel, MotionEstimationKernel,
-    SubPixelInterpolationKernel, SwBreakdown,
-};
+use pim_core::{DmpimError, EnergyParams, Platform, SimContext};
+use pim_vp9::driver::{run_sw_decode, run_sw_encode, SwBreakdown};
 use pim_vp9::encoder::EncoderConfig;
 use pim_vp9::frame::SyntheticVideo;
 use pim_vp9::hw::{
@@ -14,8 +11,8 @@ use pim_vp9::hw::{
 
 /// The decoder characterization runs on 4K frames, as in §9. Three frames
 /// (one keyframe warm-up + two replayed inter frames) keep the harness
-/// under a minute while preserving per-pixel shares.
-fn decode_breakdown() -> Result<SwBreakdown, DmpimError> {
+/// under a minute while preserving per-pixel shares (run store key).
+pub(crate) fn decode_breakdown() -> Result<SwBreakdown, DmpimError> {
     let v = SyntheticVideo::new(3840, 2160, 1, 0x4b);
     let mut ctx = SimContext::cpu_only(Platform::baseline());
     run_sw_decode(&v, 3, EncoderConfig { q: 20, range: 8 }, &mut ctx)
@@ -29,7 +26,7 @@ fn encode_breakdown() -> Result<SwBreakdown, DmpimError> {
 
 /// Figure 10: software-decoder energy by function.
 pub fn fig10() -> Result<String, DmpimError> {
-    let b = decode_breakdown()?;
+    let b = crate::runs::global().decode_4k()?;
     Ok(format!(
         "Figure 10 — VP9 software decoder energy (4K)\n{}\
          (paper: sub-pel interpolation 37.5%, deblocking 29.7%, MC total 53.4%)\n",
@@ -39,7 +36,7 @@ pub fn fig10() -> Result<String, DmpimError> {
 
 /// Figure 11: decoder component breakdown + DM share.
 pub fn fig11() -> Result<String, DmpimError> {
-    let b = decode_breakdown()?;
+    let b = crate::runs::global().decode_4k()?;
     Ok(format!(
         "Figure 11 — VP9 software decoder by component\n{}\
          data movement: {:.1}% of decoder energy (paper: 63.5%)\n",
@@ -105,20 +102,20 @@ pub fn fig16() -> String {
 }
 
 /// Figure 20: the three video kernels under the three modes.
-pub fn fig20() -> String {
-    let engine = OffloadEngine::new();
+pub fn fig20() -> Result<String, DmpimError> {
+    let store = crate::runs::global();
     let mut out = String::from("Figure 20 — video kernels: energy & runtime by mode\n");
-    let mut kernels: Vec<(&str, Box<dyn Kernel>)> = vec![
-        ("sub-pixel interpolation (4K)", Box::new(SubPixelInterpolationKernel::paper_input())),
-        ("deblocking filter (4K)", Box::new(DeblockingFilterKernel::paper_input())),
-        ("motion estimation (HD)", Box::new(MotionEstimationKernel::paper_input())),
+    let kernels = [
+        ("sub-pixel interpolation", "sub-pixel interpolation (4K)"),
+        ("deblocking filter", "deblocking filter (4K)"),
+        ("motion estimation", "motion estimation (HD)"),
     ];
     let mut core_ratios = Vec::new();
     let mut acc_ratios = Vec::new();
-    for (name, kernel) in kernels.iter_mut() {
-        let reports = engine.run_all(kernel.as_mut());
-        out.push_str(&format!("\n[{name}]\n"));
-        out.push_str(&mode_sweep_table(&reports));
+    for (kernel, label) in kernels {
+        let reports = &store.kernel_runs(kernel, false)?[..3];
+        out.push_str(&format!("\n[{label}]\n"));
+        out.push_str(&mode_sweep_table(reports));
         core_ratios.push(reports[1].energy_vs(&reports[0]));
         acc_ratios.push(reports[2].energy_vs(&reports[0]));
     }
@@ -129,7 +126,7 @@ pub fn fig20() -> String {
         100.0 * (1.0 - avg(&core_ratios)),
         100.0 * (1.0 - avg(&acc_ratios)),
     ));
-    out
+    Ok(out)
 }
 
 /// Figure 21: hardware codec energy with PIM.

@@ -3,8 +3,9 @@
 #
 #   scripts/check.sh
 #
-# Runs the release build, the full test suite, and clippy with warnings
-# promoted to errors. Fails fast on the first broken step.
+# Runs the release build, the root and workspace test suites, the
+# benchmark's self-test, and clippy with warnings promoted to errors.
+# Fails fast on the first broken step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +17,17 @@ echo "==> cargo test -q (chaos matrix capped at ${PIM_CHAOS_SEEDS:-8} seeds/fami
 # default to 64 seeds per fault family; the tier-1 gate caps them so the
 # loop stays fast. `scripts/chaos_smoke.sh --full` runs the full matrix.
 PIM_CHAOS_SEEDS="${PIM_CHAOS_SEEDS:-8}" cargo test -q
+
+echo "==> cargo test --workspace -q (every crate's tests, chaos matrix capped the same way)"
+# `cargo test -q` above runs only the root package; this runs the unit
+# and integration tests of every workspace crate as well.
+PIM_CHAOS_SEEDS="${PIM_CHAOS_SEEDS:-8}" cargo test --workspace -q
+
+echo "==> perfbench self-test (the functions the benchmark calls still work)"
+# perfbench is its own package outside the workspace; its self-test
+# drives the workspace functions it calls on smoke inputs, so a change
+# that breaks one of them fails here.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -7,6 +7,7 @@
 //! must never depend on scheduling.
 
 use pim_bench::explain::{explain_sweep, headline_gap};
+use pim_core::Watchdog;
 use pim_harness::HarnessPolicy;
 use pim_obs::{Profiler, COMPONENT_LABELS};
 
@@ -49,9 +50,14 @@ fn shares_partition_the_cost_for_every_kernel_and_mode() {
 
 #[test]
 fn attribution_is_bit_identical_across_worker_counts() {
+    // An armed watchdog that never fires bypasses the process-wide run
+    // store, so each sweep simulates its runs rather than reading the
+    // other's.
     let profiler = Profiler::disabled();
-    let (serial, _) = explain_sweep(true, policy(1), &profiler).unwrap();
-    let (parallel, _) = explain_sweep(true, policy(4), &profiler).unwrap();
+    let simulated =
+        |workers| HarnessPolicy { watchdog: Watchdog::new(u64::MAX, u64::MAX), ..policy(workers) };
+    let (serial, _) = explain_sweep(true, simulated(1), &profiler).unwrap();
+    let (parallel, _) = explain_sweep(true, simulated(4), &profiler).unwrap();
     let s: Vec<String> = serial.iter().map(|r| r.to_line()).collect();
     let p: Vec<String> = parallel.iter().map(|r| r.to_line()).collect();
     assert_eq!(s, p, "explain records must not depend on worker scheduling");
